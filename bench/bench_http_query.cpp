@@ -1,6 +1,7 @@
 // Live-query throughput of the svc::HttpServer: how many /links renders per
 // second the serve verb can answer while holding the read-consistency
-// contract (every request deep-copies a Checkpoint through snapshot_fn).
+// contract (every request copies one QuerySnapshot per shard through
+// snapshot_fn: per-link stats and alert counts, O(links)).
 //
 // Three passes:
 //
@@ -73,9 +74,9 @@ std::unique_ptr<svc::HttpServer> make_server() {
   return std::make_unique<svc::HttpServer>(
       f.cap->census,
       [] {
-        std::vector<stream::Checkpoint> cps;
-        cps.push_back(fixture().engine->checkpoint());
-        return cps;
+        std::vector<stream::QuerySnapshot> snaps;
+        snaps.push_back(fixture().engine->query_snapshot());
+        return snaps;
       },
       nullptr, o);
 }

@@ -89,9 +89,11 @@ run_tsan() {
   # forbids sockets), and the sharded gateway (N IO loops x N consumer
   # shards racing on the merge/backpressure paths), plus the service layer:
   # the HTTP server's loop-thread handler racing live snapshot_engines()
-  # reads against ingest, and snapshot save/restore across the same threads.
+  # reads against ingest, snapshot save/restore across the same threads,
+  # the per-shard query snapshot fill, and the per-query allocation pin
+  # (consumer threads answering the handshake while the counter runs).
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
-    --tests-regex 'ThreadPool|ParallelFor|ParallelMap|PoolGuard|DefaultThreads|ParallelDifferential|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize'
+    --tests-regex 'ThreadPool|ParallelFor|ParallelMap|PoolGuard|DefaultThreads|ParallelDifferential|ScenarioCacheTest|SimDeterminism|Registry|StreamDifferential|SymConcurrencyTest|BoundedMpsc|EventLoop|NetGateway|AlertSink|DetectDifferential|ShardedDifferential|ShardMap|ShardedGateway|SvcSnapshot|RestartDifferential|SvcHttp|Anonymize|QuerySnapshot|SvcQueryAlloc'
 }
 
 run_bench() {

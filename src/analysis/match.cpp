@@ -1,7 +1,10 @@
 #include "src/analysis/match.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+
+#include "src/common/assert.hpp"
 
 namespace netfail::analysis {
 namespace {
@@ -171,10 +174,23 @@ FailureMatchResult match_failures(const std::vector<Failure>& isis,
     }
   }
 
-  // Greedy 1-1 failure matching per link, chronological.
-  std::map<LinkId, std::vector<std::size_t>> isis_by_link;
+  // Greedy 1-1 failure matching per link, chronological. Both lists are
+  // begin-ordered per link (asserted), so an IS-IS failure that begins
+  // more than a window before this syslog failure can match neither it
+  // nor any later one on the link: each link's cursor skips those for
+  // good, and every scan starts at the first IS-IS failure still in reach.
+  struct LinkQueue {
+    std::vector<std::size_t> isis;  // indices into `isis`, begin-ordered
+    std::size_t cursor = 0;         // first entry not yet out of reach
+    TimePoint last_syslog_begin = TimePoint::from_unix_millis(
+        std::numeric_limits<std::int64_t>::min());
+  };
+  std::map<LinkId, LinkQueue> isis_by_link;
   for (std::size_t i = 0; i < isis.size(); ++i) {
-    isis_by_link[isis[i].link].push_back(i);
+    std::vector<std::size_t>& q = isis_by_link[isis[i].link].isis;
+    NETFAIL_ASSERT(q.empty() || isis[q.back()].span.begin <= isis[i].span.begin,
+                   "match_failures: IS-IS failures not chronological per link");
+    q.push_back(i);
   }
   std::vector<bool> isis_used(isis.size(), false);
   std::vector<bool> syslog_matched(syslog.size(), false);
@@ -183,7 +199,17 @@ FailureMatchResult match_failures(const std::vector<Failure>& isis,
     const Failure& sf = syslog[s];
     const auto it = isis_by_link.find(sf.link);
     if (it == isis_by_link.end()) continue;
-    for (std::size_t i : it->second) {
+    LinkQueue& lq = it->second;
+    NETFAIL_ASSERT(lq.last_syslog_begin <= sf.span.begin,
+                   "match_failures: syslog failures not chronological per link");
+    lq.last_syslog_begin = sf.span.begin;
+    while (lq.cursor < lq.isis.size() &&
+           isis[lq.isis[lq.cursor]].span.begin + options.window <
+               sf.span.begin) {
+      ++lq.cursor;
+    }
+    for (std::size_t k = lq.cursor; k < lq.isis.size(); ++k) {
+      const std::size_t i = lq.isis[k];
       if (isis_used[i]) continue;
       const Failure& isf = isis[i];
       const Duration ds = isf.span.begin - sf.span.begin;

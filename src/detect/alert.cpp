@@ -32,25 +32,45 @@ metrics::Counter& kind_counter(AlertKind k) {
 AlertSink::AlertSink(const AlertSink& other) : on_alert(other.on_alert) {
   sync::MutexLock lock(other.mu_);
   alerts_ = other.alerts_;
+  by_link_ = other.by_link_;
 }
 
 AlertSink& AlertSink::operator=(const AlertSink& other) {
   if (this == &other) return *this;
   std::vector<LinkAlert> copied;
+  std::vector<AlertCounts> counts;
   {
     sync::MutexLock lock(other.mu_);
     copied = other.alerts_;
+    counts = other.by_link_;
   }
   on_alert = other.on_alert;
   sync::MutexLock lock(mu_);
   alerts_ = std::move(copied);
+  by_link_ = std::move(counts);
   return *this;
+}
+
+void AlertSink::count_locked(const LinkAlert& alert) {
+  if (!alert.link.valid()) return;
+  if (alert.link.index() >= by_link_.size()) {
+    by_link_.resize(alert.link.index() + 1);
+  }
+  by_link_[alert.link.index()].add(alert.kind);
+}
+
+void AlertSink::restore(std::vector<LinkAlert> alerts) {
+  sync::MutexLock lock(mu_);
+  alerts_ = std::move(alerts);
+  by_link_.clear();
+  for (const LinkAlert& alert : alerts_) count_locked(alert);
 }
 
 void AlertSink::emit(const LinkAlert& alert) {
   {
     sync::MutexLock lock(mu_);
     alerts_.push_back(alert);
+    count_locked(alert);
   }
   g_alert_metrics.total.inc();
   kind_counter(alert.kind).inc();

@@ -7,7 +7,10 @@
 // Checkpoint is a deep copy of the whole engine, alerts included), and it
 // mirrors every append into the process-wide metrics registry so a
 // `netfail serve` metrics snapshot shows alert counts without touching
-// engine internals.
+// engine internals. Alongside the log it keeps per-link counts by kind —
+// what a live query reports — so reading them costs O(links), not
+// O(alerts); the counts are derived state, rebuilt from the log on
+// restore and never serialized.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,25 @@ struct LinkAlert {
   Symbol template_id;
 };
 
+/// One link's alert totals by kind.
+struct AlertCounts {
+  std::uint64_t hard_down = 0;
+  std::uint64_t flap_cusum = 0;
+  std::uint64_t template_drift = 0;
+
+  void add(AlertKind kind) {
+    switch (kind) {
+      case AlertKind::kHardDown: ++hard_down; break;
+      case AlertKind::kFlapCusum: ++flap_cusum; break;
+      case AlertKind::kTemplateDrift: ++template_drift; break;
+    }
+  }
+  bool empty() const {
+    return hard_down == 0 && flap_cusum == 0 && template_drift == 0;
+  }
+  bool operator==(const AlertCounts&) const = default;
+};
+
 /// Thread-safe append-only alert log. The detector (engine thread) appends;
 /// any thread may snapshot. Copyable so Checkpoint's engine deep-copy
 /// carries the alert history; the `on_alert` callback survives copies the
@@ -77,11 +99,31 @@ class AlertSink {
   /// All alerts so far, emission order.
   std::vector<LinkAlert> snapshot() const;
 
+  /// Calls `f(link, counts)` for every link with at least one alert, in
+  /// ascending link order, under the sink lock. Allocation-free: the live
+  /// query snapshot reads per-link totals through this.
+  template <class F>
+  void for_each_link_counts(F&& f) const {
+    sync::MutexLock lock(mu_);
+    for (std::size_t i = 0; i < by_link_.size(); ++i) {
+      if (!by_link_[i].empty()) {
+        f(LinkId(static_cast<LinkId::underlying_type>(i)), by_link_[i]);
+      }
+    }
+  }
+
  private:
   friend class netfail::svc::EngineCodec;
 
+  /// Replace the log wholesale and recount (durable-snapshot restore).
+  void restore(std::vector<LinkAlert> alerts);
+  void count_locked(const LinkAlert& alert) NETFAIL_REQUIRES(mu_);
+
   mutable sync::Mutex mu_;
   std::vector<LinkAlert> alerts_ NETFAIL_GUARDED_BY(mu_);
+  /// Per-link totals by kind, indexed by LinkId::index(); derived from
+  /// `alerts_` (alerts on invalid links are logged but not counted).
+  std::vector<AlertCounts> by_link_ NETFAIL_GUARDED_BY(mu_);
 };
 
 }  // namespace netfail::detect

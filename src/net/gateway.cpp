@@ -478,12 +478,18 @@ void IngestGateway::consumer_thread(Shard& shard) {
 
   sync::UniqueLock lock(shard.ws.mu);
   for (;;) {
-    // Live-snapshot handshake: answered here, between drain batches, so the
-    // deep copy always lands on an event boundary (one branch per batch —
-    // off the per-event hot path).
-    if (shard.snapshot_requested) {
-      shard.snapshot_out = shard.engine->checkpoint();
-      shard.snapshot_requested = false;
+    // Snapshot handshake: answered here, between drain batches, so every
+    // query snapshot and checkpoint lands on an event boundary (one branch
+    // per batch — off the per-event hot path).
+    if (shard.query_requested || shard.checkpoint_requested) {
+      if (shard.query_requested) {
+        shard.engine->fill_query_snapshot(shard.query_out);
+        shard.query_requested = false;
+      }
+      if (shard.checkpoint_requested) {
+        shard.checkpoint_out = shard.engine->checkpoint();
+        shard.checkpoint_requested = false;
+      }
       shard.ws.cv.notify_all();
     }
     lines.clear();
@@ -536,18 +542,48 @@ void IngestGateway::consumer_thread(Shard& shard) {
     lock.lock();
   }
   // Queues closed and drained: the engine is final. Take the final
-  // checkpoint while still holding the lock and flip consumer_done, so a
-  // snapshot request racing the shutdown is answered with the final state
-  // instead of hanging on a thread that is gone.
+  // checkpoint and query snapshot while still holding the lock and flip
+  // consumer_done, so a request racing the shutdown is answered with the
+  // final state instead of hanging on a thread that is gone.
   shard.final_checkpoint = shard.engine->checkpoint();
-  shard.snapshot_requested = false;
+  shard.engine->fill_query_snapshot(shard.query_out);
+  shard.query_requested = false;
+  shard.checkpoint_requested = false;
   shard.consumer_done = true;
   shard.ws.cv.notify_all();
   lock.unlock();
   shard.engine->finish();
 }
 
-std::vector<stream::Checkpoint> IngestGateway::snapshot_engines() {
+void IngestGateway::await_consumer(Shard& shard, sync::UniqueLock& lock,
+                                   bool Shard::*flag) {
+  shard.*flag = true;
+  shard.ws.cv.notify_all();
+  while (shard.*flag && !shard.consumer_done) shard.ws.cv.wait(lock);
+}
+
+std::vector<stream::QuerySnapshot> IngestGateway::snapshot_engines() {
+  std::vector<stream::QuerySnapshot> out;
+  out.reserve(shards_.size());
+  for (auto& sp : shards_) {
+    Shard& shard = *sp;
+    sync::UniqueLock lock(shard.ws.mu);
+    if (!running_ && !shard.consumer_done) {
+      // Pre-start: no consumer thread exists, the engine is ours to read.
+      shard.engine->fill_query_snapshot(out.emplace_back());
+      continue;
+    }
+    // After the consumer exits, query_out already holds its final
+    // (pre-finish) state.
+    if (!shard.consumer_done) {
+      await_consumer(shard, lock, &Shard::query_requested);
+    }
+    out.push_back(shard.query_out);
+  }
+  return out;
+}
+
+std::vector<stream::Checkpoint> IngestGateway::checkpoint_engines() {
   std::vector<stream::Checkpoint> out;
   out.reserve(shards_.size());
   for (auto& sp : shards_) {
@@ -565,13 +601,9 @@ std::vector<stream::Checkpoint> IngestGateway::snapshot_engines() {
       out.push_back(shard.engine->checkpoint());
       continue;
     }
-    shard.snapshot_requested = true;
-    shard.ws.cv.notify_all();
-    while (shard.snapshot_requested && !shard.consumer_done) {
-      shard.ws.cv.wait(lock);
-    }
+    await_consumer(shard, lock, &Shard::checkpoint_requested);
     out.push_back(shard.consumer_done ? shard.final_checkpoint
-                                      : shard.snapshot_out);
+                                      : shard.checkpoint_out);
   }
   return out;
 }

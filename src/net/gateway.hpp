@@ -169,16 +169,23 @@ class IngestGateway {
   /// flags the IO loops; the owner must still call stop() to join+drain.
   void request_stop();
 
-  /// One read-consistent deep-copy Checkpoint per shard, each taken by that
-  /// shard's consumer thread at a batch boundary (between drain batches,
-  /// under the shard's wait-set lock — never mid-event, so every per-link
-  /// row in the copy is exactly what an uninterrupted engine would report
-  /// at that shard's high-water mark). Blocks until every shard has
-  /// answered; callable from any thread while the gateway runs, and still
-  /// valid before start() (direct snapshot) or after the consumers exit
-  /// (returns the final checkpoints). This is the HTTP query API's
-  /// `snapshot_fn` and the durable-checkpoint writer's source of truth.
-  std::vector<stream::Checkpoint> snapshot_engines();
+  /// One read-consistent query snapshot per shard (stream::QuerySnapshot:
+  /// counters plus each owned link's running stats and alert counts),
+  /// filled by that shard's consumer thread at a batch boundary (between
+  /// drain batches, under the shard's wait-set lock — never mid-event, so
+  /// every per-link row is exactly what an uninterrupted engine would
+  /// report at that shard's high-water mark). The consumer fills reused
+  /// per-shard storage; the caller gets a copy, O(links) per shard.
+  /// Blocks until every shard has answered; callable from any thread
+  /// while the gateway runs, and still valid before start() (filled
+  /// directly) or after the consumers exit (the final pre-finish state).
+  /// This is the HTTP query API's `snapshot_fn`.
+  std::vector<stream::QuerySnapshot> snapshot_engines();
+
+  /// The same handshake, answered with a deep-copy Checkpoint of each
+  /// shard's whole engine — what the durable-snapshot writer serializes.
+  /// O(engine state) per call: live queries use snapshot_engines().
+  std::vector<stream::Checkpoint> checkpoint_engines();
 
   /// Full shutdown: stop IO, close queues, drain every consumer through
   /// its engine, snapshot the final Checkpoints, finish the trackers.
@@ -245,12 +252,17 @@ class IngestGateway {
     stream::Checkpoint final_checkpoint;
     std::thread consumer;
     bool consumer_idle NETFAIL_GUARDED_BY(ws.mu) = false;
-    /// Live-snapshot handshake (snapshot_engines): a requester sets the
-    /// flag and waits; the consumer answers at its next batch boundary.
-    bool snapshot_requested NETFAIL_GUARDED_BY(ws.mu) = false;
-    stream::Checkpoint snapshot_out NETFAIL_GUARDED_BY(ws.mu);
-    /// Set (with final_checkpoint, under ws.mu) when the consumer exits, so
-    /// a snapshot request can never hang on a thread that is gone.
+    /// Between-batch handshake (snapshot_engines, checkpoint_engines): a
+    /// requester sets a flag and waits; the consumer answers at its next
+    /// batch boundary. `query_out` is filled in place, so its row storage
+    /// is reused across queries.
+    bool query_requested NETFAIL_GUARDED_BY(ws.mu) = false;
+    stream::QuerySnapshot query_out NETFAIL_GUARDED_BY(ws.mu);
+    bool checkpoint_requested NETFAIL_GUARDED_BY(ws.mu) = false;
+    stream::Checkpoint checkpoint_out NETFAIL_GUARDED_BY(ws.mu);
+    /// Set (with final_checkpoint and a final query_out, under ws.mu) when
+    /// the consumer exits, so a request can never hang on a thread that is
+    /// gone.
     bool consumer_done NETFAIL_GUARDED_BY(ws.mu) = false;
   };
 
@@ -270,6 +282,11 @@ class IngestGateway {
   bool all_lsp_queues_below_low() const;
   void wake_all_loops();
   bool replay_complete(std::uint64_t min_connections);
+  /// Raise `flag` and wait until the shard's consumer clears it (answered
+  /// at a batch boundary) or exits.
+  static void await_consumer(Shard& shard, sync::UniqueLock& lock,
+                             bool Shard::*flag)
+      NETFAIL_REQUIRES(shard.ws.mu);
 
   const LinkCensus* census_;
   GatewayOptions options_;

@@ -1,5 +1,7 @@
 #include "src/stream/engine.hpp"
 
+#include <algorithm>
+
 #include "src/common/assert.hpp"
 #include "src/common/metrics.hpp"
 
@@ -112,6 +114,39 @@ Checkpoint StreamEngine::checkpoint() const {
   cp.events_ = events_;
   cp.alerts_ = detector_.alerts_emitted();
   return cp;
+}
+
+void StreamEngine::fill_query_snapshot(QuerySnapshot& out) const {
+  out.high_water = high_water_;
+  out.syslog_events = syslog_events_;
+  out.lsp_events = lsp_events_;
+  out.links.clear();
+  for (const CensusLink& link : census_->links()) {
+    if (owns_link(link.id)) out.links.emplace_back().link = link.id;
+  }
+  // Rows are in ascending link id: each lookup is a binary search.
+  const auto row_of = [&out](LinkId link) -> QueryLinkRow* {
+    const auto it = std::lower_bound(
+        out.links.begin(), out.links.end(), link,
+        [](const QueryLinkRow& row, LinkId id) { return row.link < id; });
+    return it != out.links.end() && it->link == link ? &*it : nullptr;
+  };
+  syslog_tracker_.for_each_link_stats([&](const LinkRunningStats& st) {
+    if (QueryLinkRow* row = row_of(st.link)) row->syslog = st;
+  });
+  isis_tracker_.for_each_link_stats([&](const LinkRunningStats& st) {
+    if (QueryLinkRow* row = row_of(st.link)) row->isis = st;
+  });
+  detector_.sink().for_each_link_counts(
+      [&](LinkId link, const detect::AlertCounts& counts) {
+        if (QueryLinkRow* row = row_of(link)) row->alerts = counts;
+      });
+}
+
+QuerySnapshot StreamEngine::query_snapshot() const {
+  QuerySnapshot out;
+  fill_query_snapshot(out);
+  return out;
 }
 
 StreamEngine StreamEngine::resume(const Checkpoint& cp) {

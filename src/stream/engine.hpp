@@ -56,6 +56,32 @@ struct EngineOptions {
 
 class StreamEngine;
 
+/// One owned link's live query row: both reconstructions' running stats
+/// and the link's alert totals.
+struct QueryLinkRow {
+  LinkId link;
+  LinkRunningStats syslog;
+  LinkRunningStats isis;
+  detect::AlertCounts alerts;
+
+  bool operator==(const QueryLinkRow&) const = default;
+};
+
+/// What a live query reads from one engine (StreamEngine::
+/// fill_query_snapshot): O(links) plain values, no tracker, extractor or
+/// detector internals. `links` holds one row per census link the engine
+/// owns, ascending link id; a link with no activity yet has a default
+/// (up, zero-failure) row.
+struct QuerySnapshot {
+  TimePoint high_water;
+  std::uint64_t syslog_events = 0;
+  std::uint64_t lsp_events = 0;
+  std::vector<QueryLinkRow> links;
+
+  std::uint64_t events_ingested() const { return syslog_events + lsp_events; }
+  bool operator==(const QuerySnapshot&) const = default;
+};
+
 /// A resumable snapshot of a StreamEngine. Opaque value: copy it, ship it,
 /// resume from it via StreamEngine::resume(). The census is referenced,
 /// not captured; resuming against a different census is undefined.
@@ -102,6 +128,11 @@ class StreamEngine {
 
   /// Pause: snapshot the complete engine state.
   Checkpoint checkpoint() const;
+  /// Live-query view of the engine, written into `out` so a caller that
+  /// keeps one QuerySnapshot reuses its row storage: after the first fill,
+  /// refilling allocates nothing.
+  void fill_query_snapshot(QuerySnapshot& out) const;
+  QuerySnapshot query_snapshot() const;
   /// Resume a snapshot (callbacks on the trackers are preserved).
   static StreamEngine resume(const Checkpoint& cp);
 

@@ -66,6 +66,8 @@ struct LinkRunningStats {
   TimePoint last_transition;
   std::size_t flap_episodes = 0;
   std::size_t failures_in_episodes = 0;
+
+  bool operator==(const LinkRunningStats&) const = default;
 };
 
 struct TrackerCounters {
@@ -117,6 +119,12 @@ class LinkTracker {
   std::size_t pending_transitions() const { return pending_total_; }
   /// Per-link running stats, link order.
   std::vector<LinkRunningStats> link_stats() const;
+  /// Calls `f(stats)` for every tracked link, link order. Allocation-free
+  /// (the live query snapshot's fill path).
+  template <class F>
+  void for_each_link_stats(F&& f) const {
+    for (const auto& [link, pl] : links_) f(pl.stats);
+  }
   /// The last few released failures, oldest first.
   std::vector<analysis::Failure> recent_failures() const;
   /// Total downtime released so far, all links.

@@ -134,52 +134,25 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-/// One link's merged row, assembled from the owning shard's checkpoint.
-struct LinkRow {
-  stream::LinkRunningStats syslog;
-  stream::LinkRunningStats isis;
-  std::uint64_t alerts_hard = 0;
-  std::uint64_t alerts_cusum = 0;
-  std::uint64_t alerts_drift = 0;
-};
-
-struct QueryView {
-  std::vector<LinkRow> rows;  // indexed by LinkId::index()
+/// Shard totals. Syslog lines are routed (each reaches one shard), so
+/// their counts sum; LSPs are broadcast to every shard, so one shard's
+/// count is the stream's — the same rule as stream::merge_shard_runs.
+struct Totals {
   TimePoint high_water;
   std::uint64_t events = 0;
-  std::size_t shards = 0;
 };
 
-QueryView assemble(const std::vector<stream::Checkpoint>& checkpoints,
-                   std::size_t link_count) {
-  QueryView view;
-  view.rows.resize(link_count);
-  view.shards = checkpoints.size();
-  for (const stream::Checkpoint& cp : checkpoints) {
-    const stream::StreamEngine& engine = cp.state();
-    view.events += cp.events_ingested();
-    view.high_water = std::max(view.high_water, cp.high_water());
-    for (const auto& st : engine.syslog_tracker().link_stats()) {
-      if (st.link.valid() && st.link.index() < link_count) {
-        view.rows[st.link.index()].syslog = st;
-      }
-    }
-    for (const auto& st : engine.isis_tracker().link_stats()) {
-      if (st.link.valid() && st.link.index() < link_count) {
-        view.rows[st.link.index()].isis = st;
-      }
-    }
-    for (const auto& alert : engine.detector().sink().snapshot()) {
-      if (!alert.link.valid() || alert.link.index() >= link_count) continue;
-      LinkRow& row = view.rows[alert.link.index()];
-      switch (alert.kind) {
-        case detect::AlertKind::kHardDown: ++row.alerts_hard; break;
-        case detect::AlertKind::kFlapCusum: ++row.alerts_cusum; break;
-        case detect::AlertKind::kTemplateDrift: ++row.alerts_drift; break;
-      }
-    }
+/// The row of a link no shard reports.
+const stream::QueryLinkRow kNoActivity{};
+
+Totals totals(const std::vector<stream::QuerySnapshot>& snapshots) {
+  Totals t;
+  if (!snapshots.empty()) t.events = snapshots.front().lsp_events;
+  for (const stream::QuerySnapshot& snap : snapshots) {
+    t.events += snap.syslog_events;
+    t.high_water = std::max(t.high_water, snap.high_water);
   }
-  return view;
+  return t;
 }
 
 void put_source_stats(std::string& out, const stream::LinkRunningStats& st,
@@ -390,15 +363,16 @@ HttpServer::Response HttpServer::handle(std::string_view method,
   const bool anonymize = query_has_flag(query, "anonymize");
 
   if (path == "/healthz") {
-    const QueryView view = assemble(snapshot_fn_(), census_->size());
+    const std::vector<stream::QuerySnapshot> snapshots = snapshot_fn_();
+    const Totals t = totals(snapshots);
     std::string body = "{\"status\":\"ok\",\"links\":";
     put_i64(body, static_cast<std::int64_t>(census_->size()));
     body.append(",\"shards\":");
-    put_i64(body, static_cast<std::int64_t>(view.shards));
+    put_i64(body, static_cast<std::int64_t>(snapshots.size()));
     body.append(",\"events\":");
-    put_i64(body, static_cast<std::int64_t>(view.events));
+    put_i64(body, static_cast<std::int64_t>(t.events));
     body.append(",\"high_water_ms\":");
-    put_i64(body, view.high_water.unix_millis());
+    put_i64(body, t.high_water.unix_millis());
     body.append("}\n");
     return Response{200, "application/json", std::move(body)};
   }
@@ -417,30 +391,42 @@ HttpServer::Response HttpServer::handle(std::string_view method,
 
 HttpServer::Response HttpServer::handle_links(std::string_view path,
                                               bool anonymize) {
-  const QueryView view = assemble(snapshot_fn_(), census_->size());
+  const std::vector<stream::QuerySnapshot> snapshots = snapshot_fn_();
+  const TimePoint high_water = totals(snapshots).high_water;
+  // Each link's row lives on the one shard that owns it; links no shard
+  // reports render as the default (up, zero-failure) row.
+  std::vector<const stream::QueryLinkRow*> rows(census_->size(),
+                                                &kNoActivity);
+  for (const stream::QuerySnapshot& snap : snapshots) {
+    for (const stream::QueryLinkRow& row : snap.links) {
+      if (row.link.valid() && row.link.index() < rows.size()) {
+        rows[row.link.index()] = &row;
+      }
+    }
+  }
   const Anonymizer* anon = anonymize ? &anonymizer() : nullptr;
 
   const auto put_link = [&](std::string& out, const CensusLink& link) {
-    const LinkRow& row = view.rows[link.id.index()];
+    const stream::QueryLinkRow& row = *rows[link.id.index()];
     out.append("{\"name\":");
     put_json_string(out, anon != nullptr ? anon->link_name(link.id)
                                          : link.name);
     out.append(",\"syslog\":");
-    put_source_stats(out, row.syslog, options_.period_begin, view.high_water);
+    put_source_stats(out, row.syslog, options_.period_begin, high_water);
     out.append(",\"isis\":");
-    put_source_stats(out, row.isis, options_.period_begin, view.high_water);
+    put_source_stats(out, row.isis, options_.period_begin, high_water);
     out.append(",\"alerts\":{\"hard_down\":");
-    put_i64(out, static_cast<std::int64_t>(row.alerts_hard));
+    put_i64(out, static_cast<std::int64_t>(row.alerts.hard_down));
     out.append(",\"flap_cusum\":");
-    put_i64(out, static_cast<std::int64_t>(row.alerts_cusum));
+    put_i64(out, static_cast<std::int64_t>(row.alerts.flap_cusum));
     out.append(",\"template_drift\":");
-    put_i64(out, static_cast<std::int64_t>(row.alerts_drift));
+    put_i64(out, static_cast<std::int64_t>(row.alerts.template_drift));
     out.append("}}");
   };
 
   if (path == "/links") {
     std::string body = "{\"high_water_ms\":";
-    put_i64(body, view.high_water.unix_millis());
+    put_i64(body, high_water.unix_millis());
     body.append(",\"links\":[");
     bool first = true;
     for (const CensusLink& link : census_->links()) {

@@ -19,14 +19,16 @@
 //
 // Locking discipline (the read-consistency contract, tested under TSan):
 // the server owns no engine state. Every data request calls `snapshot_fn`,
-// which returns one deep-copy Checkpoint per shard, each taken under that
-// shard's consumer lock at a batch boundary (IngestGateway::
+// which returns one stream::QuerySnapshot per shard — counters plus each
+// owned link's running stats and alert counts, filled by that shard's
+// consumer under its lock at a batch boundary (IngestGateway::
 // snapshot_engines). A link's whole state lives on exactly one shard, so
 // every per-link row is internally consistent — exactly the value an
 // uninterrupted engine would report at that shard's high-water mark; the
-// HTTP thread then renders from the immutable copies without further
-// locking. Cross-shard skew is bounded by one drain batch and never mixes
-// state *within* a link.
+// HTTP thread then renders from its own copies without further locking.
+// Cross-shard skew is bounded by one drain batch and never mixes state
+// *within* a link. A query costs O(links), never O(engine state): no
+// tracker, extractor or detector internals are copied or read.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +62,8 @@ struct HttpOptions {
 
 class HttpServer {
  public:
-  /// One read-consistent deep copy per shard (see file comment).
-  using SnapshotFn = std::function<std::vector<stream::Checkpoint>()>;
+  /// One read-consistent query snapshot per shard (see file comment).
+  using SnapshotFn = std::function<std::vector<stream::QuerySnapshot>()>;
   /// On-demand durable snapshot (GET /checkpoint).
   using CheckpointFn = std::function<Status()>;
 

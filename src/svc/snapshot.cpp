@@ -9,7 +9,6 @@
 #include <cstring>
 #include <tuple>
 
-#include "src/common/sync.hpp"
 #include "src/stream/sharded.hpp"
 
 namespace netfail::svc {
@@ -479,10 +478,7 @@ Status EngineCodec::decode_detector(ByteReader& r,
     a.template_id = get_sym(r, syms, &bad_sym);
     alerts.push_back(a);
   }
-  {
-    sync::MutexLock lock(d.sink_.mu_);
-    d.sink_.alerts_ = std::move(alerts);
-  }
+  d.sink_.restore(std::move(alerts));
 
   d.links_.clear();
   const std::uint32_t link_count = r.u32();

@@ -827,7 +827,7 @@ int cmd_serve(int argc, char** argv) {
   // Durable snapshot writer: read-consistent per-shard checkpoints from the
   // consumer threads, serialized and renamed into place atomically.
   const auto write_snapshot = [&gateway, &bundle, &snap_path]() -> Status {
-    const std::vector<stream::Checkpoint> cps = gateway.snapshot_engines();
+    const std::vector<stream::Checkpoint> cps = gateway.checkpoint_engines();
     std::vector<const stream::StreamEngine*> engines;
     engines.reserve(cps.size());
     for (const stream::Checkpoint& cp : cps) engines.push_back(&cp.state());

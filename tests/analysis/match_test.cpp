@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
 namespace netfail::analysis {
 namespace {
 
@@ -195,6 +200,138 @@ TEST(MatchFailures, GreedyOneToOne) {
   const FailureMatchResult r = match_failures(isis, syslog, MatchOptions{});
   EXPECT_EQ(r.matched, 1u);
   EXPECT_EQ(r.syslog_only.size(), 1u);
+}
+
+// ---- match_failures vs the full-rescan oracle ---------------------------------
+
+/// The greedy matching as first written: every syslog failure rescans its
+/// link's IS-IS failures from the first one, skipping those already used.
+/// Quadratic on dense links, but obviously right — the oracle for the
+/// per-link cursor in match_failures.
+struct OracleMatch {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::vector<std::size_t> isis_only;
+  std::vector<std::size_t> syslog_only;
+};
+
+OracleMatch rescan_oracle(const std::vector<Failure>& isis,
+                          const std::vector<Failure>& syslog,
+                          const MatchOptions& options) {
+  std::map<LinkId, std::vector<std::size_t>> isis_by_link;
+  for (std::size_t i = 0; i < isis.size(); ++i) {
+    isis_by_link[isis[i].link].push_back(i);
+  }
+  std::vector<bool> isis_used(isis.size(), false);
+  std::vector<bool> syslog_matched(syslog.size(), false);
+  OracleMatch out;
+  for (std::size_t s = 0; s < syslog.size(); ++s) {
+    const Failure& sf = syslog[s];
+    const auto it = isis_by_link.find(sf.link);
+    if (it == isis_by_link.end()) continue;
+    for (std::size_t i : it->second) {
+      if (isis_used[i]) continue;
+      const Failure& isf = isis[i];
+      const Duration ds = isf.span.begin - sf.span.begin;
+      const Duration de = isf.span.end - sf.span.end;
+      const auto abs = [](Duration d) { return d.is_negative() ? -d : d; };
+      if (abs(ds) <= options.window && abs(de) <= options.window) {
+        isis_used[i] = true;
+        syslog_matched[s] = true;
+        out.pairs.emplace_back(i, s);
+        break;
+      }
+      if (isf.span.begin > sf.span.begin + options.window) break;
+    }
+  }
+  for (std::size_t i = 0; i < isis.size(); ++i) {
+    if (!isis_used[i]) out.isis_only.push_back(i);
+  }
+  for (std::size_t s = 0; s < syslog.size(); ++s) {
+    if (!syslog_matched[s]) out.syslog_only.push_back(s);
+  }
+  return out;
+}
+
+/// `n` begin-ordered failures on `link`, begins 0-`max_gap` s apart (dense
+/// against the 10 s window), durations 0-`max_len` s (so they overlap).
+std::vector<Failure> dense_failures(std::mt19937_64& rng, std::size_t n,
+                                    Source src, LinkId link,
+                                    std::int64_t max_gap,
+                                    std::int64_t max_len) {
+  std::uniform_int_distribution<std::int64_t> gap(0, max_gap);
+  std::uniform_int_distribution<std::int64_t> len(0, max_len);
+  std::vector<Failure> out;
+  std::int64_t begin = 1000;
+  for (std::size_t i = 0; i < n; ++i) {
+    begin += gap(rng);
+    out.push_back(failure(begin, begin + len(rng), src, link));
+  }
+  return out;
+}
+
+/// Returns the number of matched pairs, so callers can check the inputs
+/// exercised matching at all.
+std::size_t expect_same_as_oracle(const std::vector<Failure>& isis,
+                                  const std::vector<Failure>& syslog) {
+  const MatchOptions options;
+  const FailureMatchResult got = match_failures(isis, syslog, options);
+  const OracleMatch want = rescan_oracle(isis, syslog, options);
+  EXPECT_EQ(got.pairs, want.pairs);
+  EXPECT_EQ(got.isis_only, want.isis_only);
+  EXPECT_EQ(got.syslog_only, want.syslog_only);
+  EXPECT_EQ(got.matched, want.pairs.size());
+  return got.matched;
+}
+
+TEST(MatchFailures, CursorScanEqualsRescanOracleOnDenseSingleLinks) {
+  std::mt19937_64 rng(20131023);
+  std::uniform_int_distribution<std::size_t> count(0, 400);
+  std::uniform_int_distribution<std::int64_t> gap(1, 12);
+  std::uniform_int_distribution<std::int64_t> len(0, 40);
+  std::size_t matched = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::int64_t max_gap = gap(rng);
+    const std::int64_t max_len = len(rng);
+    const std::vector<Failure> isis =
+        dense_failures(rng, count(rng), Source::kIsis, kLink, max_gap, max_len);
+    const std::vector<Failure> syslog = dense_failures(
+        rng, count(rng), Source::kSyslog, kLink, max_gap, max_len);
+    matched += expect_same_as_oracle(isis, syslog);
+  }
+  EXPECT_GT(matched, 1000u);
+}
+
+TEST(MatchFailures, CursorScanEqualsRescanOracleOnInterleavedLinks) {
+  // Per-link chronological, globally interleaved: each link keeps its own
+  // cursor.
+  std::mt19937_64 rng(602);
+  std::uniform_int_distribution<int> pick(0, 2);
+  std::size_t matched = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<Failure> isis, syslog;
+    std::vector<std::vector<Failure>> per_link_isis, per_link_syslog;
+    for (std::uint32_t l = 0; l < 3; ++l) {
+      per_link_isis.push_back(
+          dense_failures(rng, 120, Source::kIsis, LinkId{l}, 6, 20));
+      per_link_syslog.push_back(
+          dense_failures(rng, 120, Source::kSyslog, LinkId{l}, 6, 20));
+    }
+    std::vector<std::size_t> next_isis(3, 0), next_syslog(3, 0);
+    for (std::size_t k = 0; k < 3 * 120; ++k) {
+      int l = pick(rng);
+      while (next_isis[l] == 120) l = (l + 1) % 3;
+      isis.push_back(per_link_isis[l][next_isis[l]++]);
+    }
+    for (std::size_t k = 0; k < 3 * 120; ++k) {
+      int l = pick(rng);
+      while (next_syslog[l] == 120) l = (l + 1) % 3;
+      syslog.push_back(per_link_syslog[l][next_syslog[l]++]);
+    }
+    matched += expect_same_as_oracle(isis, syslog);
+  }
+  EXPECT_GT(matched, 100u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace netfail::detect {
@@ -63,6 +64,46 @@ TEST(AlertSink, CopyCarriesCallback) {
   AlertSink copy = sink;
   copy.emit(alert_at(1, 100));
   EXPECT_EQ(fired.load(), 1);
+}
+
+/// Per-link counts as for_each_link_counts reports them.
+std::vector<std::pair<LinkId, AlertCounts>> counts_of(const AlertSink& sink) {
+  std::vector<std::pair<LinkId, AlertCounts>> out;
+  sink.for_each_link_counts([&out](LinkId link, const AlertCounts& c) {
+    out.emplace_back(link, c);
+  });
+  return out;
+}
+
+TEST(AlertSink, PerLinkCountsFollowEveryEmit) {
+  AlertSink sink;
+  EXPECT_TRUE(counts_of(sink).empty());
+  LinkAlert a = alert_at(7, 100);
+  sink.emit(a);
+  a.kind = AlertKind::kFlapCusum;
+  sink.emit(a);
+  sink.emit(a);
+  a = alert_at(2, 300);
+  a.kind = AlertKind::kTemplateDrift;
+  sink.emit(a);
+  // Alerts on no link are logged but belong to no row.
+  sink.emit(alert_at(LinkId::kInvalid, 400));
+  EXPECT_EQ(sink.size(), 5u);
+
+  const auto counts = counts_of(sink);
+  ASSERT_EQ(counts.size(), 2u);  // ascending link order, active links only
+  EXPECT_EQ(counts[0].first, LinkId(2));
+  EXPECT_EQ(counts[0].second, (AlertCounts{0, 0, 1}));
+  EXPECT_EQ(counts[1].first, LinkId(7));
+  EXPECT_EQ(counts[1].second, (AlertCounts{1, 2, 0}));
+
+  // Copies (the checkpoint path) carry the counts with the log.
+  const AlertSink copy = sink;
+  EXPECT_EQ(counts_of(copy), counts);
+  AlertSink assigned;
+  assigned.emit(alert_at(9, 1));
+  assigned = sink;
+  EXPECT_EQ(counts_of(assigned), counts);
 }
 
 TEST(AlertSinkConcurrency, ParallelEmittersAndSnapshotters) {

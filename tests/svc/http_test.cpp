@@ -3,12 +3,13 @@
 //   1. socket-free route units through the public handle() seam — status
 //      codes, JSON shape, percent-decoding, anonymization, the 503 path;
 //   2. read-consistency: a /links/{name} row must equal the stats computed
-//      directly from the same Checkpoint the snapshot_fn handed over;
+//      directly from a Checkpoint of the engine the snapshot_fn reads;
 //   3. live-socket integration (skipped when the sandbox forbids sockets):
 //      a real GET over loopback, keep-alive reuse, oversized-head 431, and
 //      a gateway-backed run where snapshot_engines() is hammered from the
 //      test thread during active UDP ingest (the TSan target), with the
-//      last live row checked against the final post-stop checkpoint.
+//      last live row checked against the final post-stop checkpoint, and
+//      /healthz event counts checked against the merged 2- and 4-shard run.
 #include "src/svc/http.hpp"
 
 #include <sys/socket.h>
@@ -29,6 +30,7 @@
 #include "src/sim/network_sim.hpp"
 #include "src/stream/engine.hpp"
 #include "src/stream/event_mux.hpp"
+#include "src/stream/merge.hpp"
 #include "src/svc/snapshot.hpp"
 
 namespace netfail::svc {
@@ -43,8 +45,8 @@ Scenario scenario() {
 }
 
 /// A serial engine fed the whole scenario (kept alive by the fixture); the
-/// snapshot_fn below deep-copies it per request, the same discipline the
-/// gateway applies per shard.
+/// snapshot_fn below takes its query snapshot per request, the same
+/// discipline the gateway applies per shard.
 stream::StreamEngine& fed_engine() {
   static std::unique_ptr<stream::StreamEngine> engine = [] {
     const Scenario s = scenario();
@@ -62,9 +64,9 @@ stream::StreamEngine& fed_engine() {
 
 HttpServer::SnapshotFn engine_snapshot_fn() {
   return [] {
-    std::vector<stream::Checkpoint> cps;
-    cps.push_back(fed_engine().checkpoint());
-    return cps;
+    std::vector<stream::QuerySnapshot> snaps;
+    snaps.push_back(fed_engine().query_snapshot());
+    return snaps;
   };
 }
 
@@ -353,12 +355,17 @@ TEST(SvcHttpGateway, LiveQueriesDuringIngestConvergeToTheFinalCheckpoint) {
   std::atomic<bool> done{false};
   std::uint64_t last_events = 0;
   std::thread poller([&] {
-    while (!done.load(std::memory_order_relaxed)) {
+    for (int round = 0; !done.load(std::memory_order_relaxed); ++round) {
       const auto cps = gw.snapshot_engines();
       std::uint64_t events = 0;
       for (const auto& cp : cps) events += cp.events_ingested();
       EXPECT_GE(events, last_events);
       last_events = events;
+      // The durable writer's deep-copy handshake shares the batch
+      // boundary with the query snapshots.
+      if (round % 4 == 0) {
+        EXPECT_EQ(gw.checkpoint_engines().size(), 2u);
+      }
       const std::string resp = http_get(srv.port(), "/links");
       EXPECT_NE(resp.find("200 OK"), std::string::npos);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -377,6 +384,7 @@ TEST(SvcHttpGateway, LiveQueriesDuringIngestConvergeToTheFinalCheckpoint) {
   // Ingest is quiescent (replay-end markers seen, queues drained): the live
   // row must now equal what the eventual final checkpoint reports.
   const auto live = gw.snapshot_engines();
+  const auto live_checkpoints = gw.checkpoint_engines();
   const std::string live_links = http_get(srv.port(), "/links");
   EXPECT_NE(live_links.find("200 OK"), std::string::npos);
 
@@ -392,10 +400,21 @@ TEST(SvcHttpGateway, LiveQueriesDuringIngestConvergeToTheFinalCheckpoint) {
     final_events += gw.final_checkpoint(i).events_ingested();
   }
   EXPECT_EQ(live_events, final_events);
-  // Same per-link rows: the quiescent live snapshot and the final
-  // checkpoint must agree on every tracker stat.
   for (std::uint32_t i = 0; i < 2; ++i) {
-    const auto a = live[i].state().syslog_tracker().link_stats();
+    // Both handshakes read the same quiescent engine.
+    EXPECT_EQ(live_checkpoints[i].events_ingested(),
+              gw.final_checkpoint(i).events_ingested());
+    EXPECT_EQ(live[i], live_checkpoints[i].state().query_snapshot());
+  }
+  // Same per-link rows: the quiescent live snapshot and the final
+  // checkpoint must agree on every tracker stat. The snapshot carries a
+  // row for every owned link; the tracked ones are those whose syslog
+  // stats name their link.
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    std::vector<stream::LinkRunningStats> a;
+    for (const stream::QueryLinkRow& row : live[i].links) {
+      if (row.syslog.link.valid()) a.push_back(row.syslog);
+    }
     const auto b =
         gw.final_checkpoint(i).state().syslog_tracker().link_stats();
     ASSERT_EQ(a.size(), b.size());
@@ -403,6 +422,46 @@ TEST(SvcHttpGateway, LiveQueriesDuringIngestConvergeToTheFinalCheckpoint) {
       EXPECT_EQ(a[j].failures, b[j].failures);
       EXPECT_EQ(a[j].flap_episodes, b[j].flap_episodes);
     }
+  }
+}
+
+TEST(SvcHttpGateway, HealthzEventsCountBroadcastLspsOnce) {
+  // Every shard ingests every LSP (broadcast) but only its own syslog lines
+  // (routed): /healthz must count each event once, exactly as the merged
+  // run does, for any shard count.
+  if (!net::sockets_available()) GTEST_SKIP() << "sandbox forbids sockets";
+  const Scenario s = scenario();
+  for (const std::uint32_t shards : {2u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    net::GatewayOptions o;
+    o.capture_start = s->period.begin;
+    o.engine.tracker.reconstruct.period = s->period;
+    o.shards = shards;
+    net::IngestGateway gw(s->census, o);
+    ASSERT_TRUE(gw.start().ok());
+    HttpServer srv(s->census, [&gw] { return gw.snapshot_engines(); },
+                   nullptr, HttpOptions{});
+
+    net::ReplayOptions r;
+    r.syslog_port = gw.syslog_port();
+    r.lsp_port = gw.lsp_port();
+    r.rate = 20000.0;
+    const auto stats = net::replay_capture(s->sim.collector.lines(),
+                                           s->sim.listener.records(), r);
+    ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+    ASSERT_TRUE(gw.wait_replay_complete(std::chrono::seconds(60), 1));
+    const HttpServer::Response health = srv.handle("GET", "/healthz");
+    ASSERT_EQ(health.status, 200);
+    gw.stop();
+
+    std::vector<stream::ShardRun> runs(shards);
+    for (std::uint32_t i = 0; i < shards; ++i) runs[i].engine = &gw.engine(i);
+    const stream::MergedRun merged = stream::merge_shard_runs(runs);
+    ASSERT_GT(merged.lsp_events, 0u);
+    EXPECT_NE(health.body.find("\"events\":" + std::to_string(merged.events) +
+                               ","),
+              std::string::npos)
+        << health.body << "\nwanted events " << merged.events;
   }
 }
 

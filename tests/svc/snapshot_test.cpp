@@ -132,6 +132,10 @@ TEST(SvcSnapshot, RoundTripReserializesToIdenticalBytes) {
   EXPECT_EQ(r1.events_ingested(), e1->events_ingested());
   EXPECT_EQ(r0.high_water(), e0->high_water());
   EXPECT_EQ(r1.detector().alerts_emitted(), e1->detector().alerts_emitted());
+  // Per-link alert counts are not serialized; restore rebuilds them from
+  // the alert log, so live queries read the same rows as before.
+  EXPECT_EQ(r0.query_snapshot(), e0->query_snapshot());
+  EXPECT_EQ(r1.query_snapshot(), e1->query_snapshot());
 
   const std::string path2 = save_to_temp("rt2.nfsnap", {&r0, &r1});
   EXPECT_EQ(read_file(path2), original);
